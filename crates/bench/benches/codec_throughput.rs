@@ -22,7 +22,7 @@
 //!
 //! The serving path is measured too: `store_fetch/cold_fetch_into`
 //! (sharded-store streaming fetch, decodes every call) vs
-//! `store_fetch/hot_fetch_cached` (decoded-LRU hit, no IDCT) — the
+//! `store_fetch/hot_fetch_cached` (hot-set hit, no IDCT) — the
 //! runtime single-gate workload the store exists for. The `container_io`
 //! group adds informational serialize/validate/serve rows for the CWL
 //! persistence layer (`compaqt-io`), and the `serve` group measures the
@@ -223,7 +223,7 @@ fn bench_library_compile(c: &mut Criterion) {
 fn bench_store_fetch(c: &mut Criterion) {
     // Runtime serving path: single-gate fetches from the sharded store.
     // `cold` always decodes (streaming fetch into reused buffers, the
-    // zero-allocation path); `hot` hits the decoded LRU and skips the
+    // zero-allocation path); `hot` hits the decoded hot set and skips the
     // RLE + IDCT entirely. The gap between the two rows is what the
     // hot set buys calibration-critical gates.
     let device = Device::named_machine("guadalupe");
@@ -252,7 +252,7 @@ fn bench_store_fetch(c: &mut Criterion) {
 
     // The same two fetches with every observability instrument armed:
     // per-variant codec histograms on and a live trace ring attached.
-    // The lock-free hit path carries no instrument at all, so the
+    // The hit path carries no instrument at all, so the
     // `instrumented_hot_fetch_cached` row is self-gated in `main`
     // against this run's own `hot_fetch_cached` — zero-overhead
     // telemetry as a measured claim, not a comment.
@@ -366,16 +366,15 @@ fn bench_reader_open(c: &mut Criterion) {
 }
 
 /// Hand-timed multi-core contention rows (criterion's bencher drives a
-/// single thread): N reader threads hammer lock-free `fetch_cached`
-/// hits on a warmed hot working set while one writer continuously
-/// recalibrates *other* gates of the same store — every insert
-/// republishes that shard's hot snapshot, so the readers ride exactly
-/// the generation flips the RCU path exists for. Returns
+/// single thread): N reader threads hammer `fetch_cached` hits on a
+/// warmed hot working set while one writer continuously recalibrates
+/// *other* gates of the same store — every insert takes a shard write
+/// lock, so readers of that shard wait out one map write. Returns
 /// `(readers, ns_per_hit, aggregate_hits_per_sec)` rows for N in
 /// {1, 2, 4, 8}. On a single-vCPU runner the aggregate rate stays
 /// roughly flat (threads time-share one core); on real multi-core
-/// hardware it is expected to scale with N because hits share no lock
-/// and no writable cache line beyond the recency stamps.
+/// hardware it is expected to scale with N because hits share the read
+/// lock and store a visited bit only when it is clear.
 fn bench_store_contention() -> Vec<(usize, f64, f64)> {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
@@ -522,7 +521,7 @@ fn main() {
     let open_lazy = ns("reader_open", "lazy_crc").unwrap_or(f64::NAN);
     println!("reader_open_eager_ns: {open_eager:.0}   reader_open_lazy_ns: {open_lazy:.0}");
 
-    // Zero-overhead telemetry headline: the lock-free hit with every
+    // Zero-overhead telemetry headline: the hot-set hit with every
     // instrument armed, next to the uninstrumented row from this same
     // run (self-gated below).
     let hot_ns = ns("store_fetch", "hot_fetch_cached").unwrap_or(f64::NAN);
@@ -658,7 +657,7 @@ fn main() {
         kernel_floor(format!("forward_batched_ws{ws}"), format!("forward_ws{ws}"));
     }
     kernel_floor("inverse_batched_ws16".to_string(), "inverse_ws16".to_string());
-    // Zero-overhead telemetry gate: the instrumented store's lock-free
+    // Zero-overhead telemetry gate: the instrumented store's hot-set
     // hit must stay within this run's own jitter of the uninstrumented
     // row. Both sides come from the same run (machine drift cancels,
     // no ratchet); the hit path carries no instrument, so anything

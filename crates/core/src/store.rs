@@ -24,22 +24,23 @@
 //!   threads decode with at most N scratches ever built and **zero heap
 //!   allocations** per steady-state [`Store::fetch_into`] (enforced in
 //!   the `alloc_regression` integration test).
-//! * **Hot set** — a bounded LRU of *decoded* waveforms, globally
+//! * **Hot set** — a bounded cache of *decoded* waveforms, globally
 //!   budgeted by [`StoreConfig::hot_capacity`] (an honest store-wide
 //!   bound: `hot_len() <= hot_capacity` always, however unevenly the
-//!   gates hash). [`Store::fetch_cached`] returns an `Arc<Waveform>`
-//!   clone on a hit, skipping the RLE + IDCT entirely — the win for
-//!   calibration-critical gates fetched over and over. Each shard's
-//!   hot set is an immutable snapshot published through an RCU-style
-//!   [`ArcSwap`], so a **hit takes no lock at all** — not even the
-//!   shard's read lock — and a queued recalibration writer can never
-//!   stall the hit path. Mutations (parking a miss, eviction,
-//!   invalidation) rebuild the snapshot under the shard's write lock
-//!   and publish it atomically. Recency is an atomic stamp per entry
-//!   shared *across* snapshots (entries are `Arc`ed), so hits keep
-//!   LRU order exact without ever writing to the snapshot itself; the
-//!   recency clock and fetch counters are shard-local, so readers on
-//!   different shards share no atomic cache line at all.
+//!   gates hash). The decoded copy sits in the gate's own map slot, so
+//!   a [`Store::fetch_cached`] hit is one lookup under the shard's read
+//!   lock plus an `Arc<Waveform>` clone, skipping the RLE + IDCT
+//!   entirely — the win for calibration-critical gates fetched over and
+//!   over. Hits share the read lock, so a queued [`Store::insert`] on
+//!   the same shard delays them for one map write. Eviction is one
+//!   global SIEVE queue (Zhang et al., "SIEVE is Simpler than LRU",
+//!   NSDI '24): a hit only sets the gate's visited bit, and a hand
+//!   sweeping the queue oldest-first clears set bits and evicts the
+//!   first unvisited gate. Every change to a hot slot (park, evict,
+//!   insert, invalidate, remove) holds the sieve lock, which is taken
+//!   before any shard lock and never while holding one. Fetch counters
+//!   are shard-local, so readers on different shards share no atomic
+//!   cache line.
 //! * **Engine registry** — one shared [`DecompressionEngine`] per
 //!   variant, built at insert time, shared `&self` by all readers.
 //!
@@ -49,9 +50,9 @@
 //! right call when the caller streams samples onward (DAC staging) and
 //! wants deterministic latency and zero allocation. [`Store::fetch_cached`]
 //! amortizes: the first fetch decodes and parks an `Arc<Waveform>` in the
-//! hot set; repeats are a lock-free snapshot lookup + refcount bump. Use
-//! it for skewed traffic (a few gates dominating fetches); size
-//! [`StoreConfig::hot_capacity`] to that working set.
+//! hot set; repeats are a map lookup under the shard's read lock plus a
+//! refcount bump. Use it for skewed traffic (a few gates dominating
+//! fetches); size [`StoreConfig::hot_capacity`] to that working set.
 //!
 //! # Example
 //!
@@ -81,14 +82,13 @@
 use crate::compress::{CompressedWaveform, Compressor, Variant};
 use crate::engine::{DecodeScratch, DecompressionEngine, EncodeScratch, EngineStats};
 use crate::CompressError;
-use arc_swap::ArcSwap;
 use compaqt_obs::{Collect, Histogram, Snapshot, TraceKind, TraceRing};
 use compaqt_pulse::library::{GateId, PulseLibrary};
 use compaqt_pulse::waveform::Waveform;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -107,17 +107,18 @@ pub struct StoreConfig {
     /// Total decoded waveforms kept hot across **all** shards — an
     /// honest global bound: `Store::hot_len() <= hot_capacity` holds at
     /// all times, however unevenly the gates hash (a fully skewed
-    /// working set may occupy the entire budget inside one shard). `0`
-    /// disables the hot set: [`Store::fetch_cached`] then decodes on
-    /// every call.
+    /// working set may occupy the entire budget inside one shard). When
+    /// the budget is full, a miss evicts by global SIEVE: the first
+    /// gate the hand finds not hit since its last pass. `0` disables
+    /// the hot set: [`Store::fetch_cached`] then decodes on every call.
     pub hot_capacity: usize,
     /// Opt-in per-codec-variant latency histograms (and encode timing
     /// in [`Store::from_library_with`]). Off by default: the aggregate
     /// decode histograms are always on (they reuse the timings the
     /// fetch paths already take for [`StoreStats::decode_ns`]), but the
     /// per-variant breakdown costs one extra engine-table lookup per
-    /// decode, so it is gated. Never affects the lock-free
-    /// [`Store::fetch_cached`] hit path, which records nothing.
+    /// decode, so it is gated. Never affects the [`Store::fetch_cached`]
+    /// hit path, which records nothing.
     pub codec_metrics: bool,
 }
 
@@ -212,7 +213,7 @@ struct Counters {
 /// Telemetry sidecar of a [`Store`]: log2 latency histograms fed
 /// exclusively from timings the fetch paths already take for
 /// [`StoreStats::decode_ns`] — instrumentation adds **no** extra clock
-/// reads to any fetch path, and nothing at all to the lock-free
+/// reads to any fetch path, and nothing at all to the
 /// [`Store::fetch_cached`] hit path. Recording is a single relaxed
 /// atomic add; reading happens only in [`Store::collect_obs`].
 #[derive(Debug, Default)]
@@ -247,28 +248,8 @@ fn variant_metric_suffix(v: Variant) -> String {
     }
 }
 
-/// One decoded waveform parked in a shard's hot set.
-#[derive(Debug)]
-struct HotEntry {
-    id: GateId,
-    decoded: Arc<Waveform>,
-    /// Recency stamp from the shard clock; atomic so lock-free cache
-    /// *hits* can bump it, and `Arc`-shared across snapshot rebuilds
-    /// so no bump is ever lost to a concurrent republication.
-    last_used: AtomicU64,
-}
-
-/// One immutable generation of a shard's hot set, published through
-/// [`ShardSlot::hot`]. Readers clone `Arc<HotEntry>` handles out of
-/// whichever generation they loaded; writers never mutate a published
-/// set — they build a new one (reusing the entry `Arc`s) and swap it
-/// in, so the hit path needs no lock and no retry loop.
-#[derive(Debug, Default)]
-struct HotSet {
-    entries: Vec<Arc<HotEntry>>,
-}
-
-/// One stored stream plus the shard generation it was inserted at.
+/// One stored stream, its hot slot and the shard generation it was
+/// inserted at.
 ///
 /// The generation is what makes the hot set safe against recalibration
 /// races: a cached-fetch miss decodes outside the locks, and may only
@@ -278,11 +259,17 @@ struct HotSet {
 #[derive(Debug)]
 struct StoredEntry {
     gen: u64,
-    z: CompressedWaveform,
+    /// Shared so a miss snapshots the stream with a refcount bump.
+    z: Arc<CompressedWaveform>,
+    /// The parked decode; `Some` exactly while the gate is in the
+    /// sieve queue. Changed only under the sieve lock.
+    hot: Option<Arc<Waveform>>,
+    /// SIEVE's visited bit: set by hits under the read lock, cleared by
+    /// the hand under the write lock.
+    visited: AtomicBool,
 }
 
-/// One shard: the compressed map and its generation counter. The hot
-/// set lives outside the lock (see [`ShardSlot::hot`]).
+/// One shard: the compressed map and its generation counter.
 #[derive(Debug, Default)]
 struct Shard {
     map: HashMap<GateId, StoredEntry>,
@@ -290,35 +277,43 @@ struct Shard {
     next_gen: u64,
 }
 
-/// One shard slot: the locked shard state plus its contention-free
-/// sidecars. The hot set, recency clock and fetch counters deliberately
-/// live *outside* the lock and *per shard*: hot hits then touch only
-/// shard-local cache lines and take no lock, so readers hammering
-/// different shards never serialize on a store-wide atomic — and
-/// readers hammering the *same* shard never serialize on its lock
-/// either. (A shard-local clock is exact — LRU eviction only ever
-/// compares entries of the same shard.)
-///
-/// Publication discipline: `hot` is only ever `store`d while holding
-/// `state`'s **write** lock. That makes the write lock the total order
-/// on snapshot generations (no lost updates from racing rebuilds),
-/// while loads stay lock-free.
+/// One shard slot: the locked shard state plus its fetch counters,
+/// which live outside the lock so hits bump them under the read lock.
 #[derive(Debug, Default)]
 struct ShardSlot {
     state: RwLock<Shard>,
-    /// This shard's hot-set snapshot; see the publication discipline
-    /// above.
-    hot: ArcSwap<HotSet>,
-    /// This shard's recency clock.
-    clock: AtomicU64,
     /// This shard's fetch counters; [`Store::stats`] sums across shards.
     counters: Counters,
 }
 
-impl ShardSlot {
-    /// Next recency stamp for this shard.
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+/// The global SIEVE eviction order over every hot gate.
+#[derive(Debug, Default)]
+struct Sieve {
+    /// Hot gates, oldest first; new gates are pushed at the end.
+    queue: Vec<GateId>,
+    /// Index of the next eviction candidate (always `< queue.len()`,
+    /// or 0 when the queue is empty).
+    hand: usize,
+}
+
+impl Sieve {
+    /// Drops the gate at `pos`, keeping the hand on the same next
+    /// candidate (wrapping to the oldest gate if it ran off the end).
+    fn remove(&mut self, pos: usize) {
+        self.queue.remove(pos);
+        if pos < self.hand {
+            self.hand -= 1;
+        }
+        if self.hand == self.queue.len() {
+            self.hand = 0;
+        }
+    }
+
+    /// Drops `id` from the queue, if it is there.
+    fn unqueue(&mut self, id: &GateId) {
+        if let Some(pos) = self.queue.iter().position(|g| g == id) {
+            self.remove(pos);
+        }
     }
 }
 
@@ -335,10 +330,8 @@ pub struct Store {
     shard_mask: u64,
     /// Global hot-set budget (0 disables caching).
     hot_capacity: usize,
-    /// Hot-budget slots in use: parked entries plus in-flight
-    /// reservations. Reservation happens *before* a miss parks its
-    /// decode, so parked entries can never exceed `hot_capacity`.
-    hot_count: AtomicUsize,
+    /// Eviction order of the hot set; held for every hot-slot change.
+    sieve: Mutex<Sieve>,
     /// One shared engine per variant seen at insert time.
     engines: RwLock<Vec<(Variant, DecompressionEngine)>>,
     /// Bounded checkout pool of decode scratches.
@@ -365,23 +358,13 @@ impl Store {
     /// Creates an empty store with the given sizing.
     pub fn new(config: StoreConfig) -> Self {
         let n_shards = config.shards.max(1).next_power_of_two();
-        let shards = (0..n_shards)
-            .map(|_| ShardSlot {
-                state: RwLock::new(Shard { map: HashMap::new(), next_gen: 0 }),
-                // Snapshots grow on demand: any single shard may hold
-                // up to the whole global budget under skewed hashing,
-                // so pre-sizing every shard to it would waste memory.
-                hot: ArcSwap::from_pointee(HotSet::default()),
-                clock: AtomicU64::new(0),
-                counters: Counters::default(),
-            })
-            .collect();
+        let shards = (0..n_shards).map(|_| ShardSlot::default()).collect();
         let scratch_bound = n_shards.max(8);
         Store {
             shards,
             shard_mask: (n_shards - 1) as u64,
             hot_capacity: config.hot_capacity,
-            hot_count: AtomicUsize::new(0),
+            sieve: Mutex::default(),
             engines: RwLock::new(Vec::new()),
             scratches: Mutex::new(Vec::with_capacity(scratch_bound)),
             scratch_bound,
@@ -467,21 +450,27 @@ impl Store {
         self.ensure_engine(z.variant)?;
         let home = self.shard_index(&id);
         let slot = &self.shards[home];
+        let z = Arc::new(z);
+        let mut sieve = self.sieve.lock();
         let mut shard = slot.state.write();
-        self.drop_hot(slot, &mut shard, &id);
         // The generation bump is what keeps a concurrent cached-fetch
         // miss (decoding the *old* stream outside the locks right now)
         // from parking its stale result after we return.
         shard.next_gen += 1;
         let gen = shard.next_gen;
-        let replaced = shard.map.insert(id, StoredEntry { gen, z }).is_some();
+        let entry = StoredEntry { gen, z, hot: None, visited: AtomicBool::new(false) };
+        let replaced = shard.map.insert(id.clone(), entry);
         drop(shard);
-        if replaced {
+        if replaced.as_ref().is_some_and(|old| old.hot.is_some()) {
+            self.unqueue_hot(&mut sieve, slot, &id);
+        }
+        drop(sieve);
+        if replaced.is_some() {
             // A replacement is a recalibration publish; initial loads
             // are not traced (they would drown the ring at store build).
             self.trace_event(TraceKind::RecalibrationPublish, home as u64, gen);
         }
-        Ok(())
+        Ok(()) // the replaced stream and decode drop here, outside every lock
     }
 
     /// Decodes one gate's waveform into caller-owned buffers (cleared
@@ -618,53 +607,49 @@ impl Store {
 
     /// Fetches one gate's decoded waveform through the hot set.
     ///
-    /// A hit is **lock-free**: one atomic snapshot load, a scan, a
-    /// recency-stamp store and an `Arc` refcount bump — the IDCT is
-    /// skipped entirely and the shard lock is never touched, so a
-    /// queued recalibration writer cannot stall hits (enforced as a
-    /// zero-allocation, no-lock path by the `alloc_regression` and
-    /// `store_concurrency` integration tests). A miss snapshots the
-    /// compressed stream (one clone, under the shard's read lock),
+    /// A hit takes the shard's read lock for one map lookup, sets the
+    /// gate's SIEVE visited bit if it is clear, and clones the parked
+    /// `Arc` — the IDCT is skipped entirely and nothing is allocated
+    /// (enforced by the `alloc_regression` integration test). Hits of
+    /// one shard share its read lock, so a queued [`Store::insert`] on
+    /// that shard delays them for one map write. A miss snapshots the
+    /// compressed stream (a refcount bump, under the read lock),
     /// decodes it **outside every lock** (pooled scratch), parks the
-    /// result in its shard's hot set and returns it. Parking first
-    /// reserves a slot of the **global** [`StoreConfig::hot_capacity`]
-    /// budget, evicting the least recently used entry (home shard
-    /// preferred) when the budget is exhausted — so `hot_len()` never
-    /// exceeds `hot_capacity`, and a working set skewed onto one shard
-    /// still gets the whole budget. The park is generation-checked: if
-    /// the gate was recalibrated while the miss was decoding, the
-    /// now-stale decode is returned to its caller (it was the truth
-    /// when the fetch started) but never cached, so [`Store::insert`]'s
-    /// no-stale-reads guarantee holds: a `fetch_cached` that *begins*
-    /// after an `insert` returns can only observe the new calibration.
+    /// result and returns it. Parking holds the sieve lock; when the
+    /// **global** [`StoreConfig::hot_capacity`] budget is full it first
+    /// evicts by SIEVE, so `hot_len()` never exceeds `hot_capacity`,
+    /// and a working set skewed onto one shard still gets the whole
+    /// budget. The park is generation-checked: if the gate was
+    /// recalibrated while the miss was decoding, the now-stale decode
+    /// is returned to its caller (it was the truth when the fetch
+    /// started) but never cached, so [`Store::insert`]'s no-stale-reads
+    /// guarantee holds: a `fetch_cached` that *begins* after an
+    /// `insert` returns can only observe the new calibration.
     ///
     /// # Errors
     ///
     /// [`StoreError::UnknownGate`] if the gate is absent;
     /// [`StoreError::Codec`] if the stored stream is malformed.
     pub fn fetch_cached(&self, id: &GateId) -> Result<Arc<Waveform>, StoreError> {
-        let home = self.shard_index(id);
-        let slot = &self.shards[home];
-        // Fast path: lock-free snapshot load, shard-local recency bump
-        // and counters, refcount clone. Inserts publish a rebuilt
-        // snapshot before they return, so a hit here is never stale.
-        let snapshot = slot.hot.load_full();
-        if let Some(entry) = snapshot.entries.iter().find(|e| &e.id == id) {
-            entry.last_used.store(slot.tick(), Ordering::Relaxed);
-            slot.counters.hot_hits.fetch_add(1, Ordering::Relaxed);
-            slot.counters.fetches.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(&entry.decoded));
-        }
-        drop(snapshot);
+        let slot = &self.shards[self.shard_index(id)];
         let (z, gen) = {
             let shard = slot.state.read();
             let entry = shard.map.get(id).ok_or_else(|| StoreError::UnknownGate(id.clone()))?;
+            if let Some(hot) = &entry.hot {
+                // Load before store: hits of a visited gate only read
+                // its cache line.
+                if !entry.visited.load(Ordering::Relaxed) {
+                    entry.visited.store(true, Ordering::Relaxed);
+                }
+                slot.counters.hot_hits.fetch_add(1, Ordering::Relaxed);
+                slot.counters.fetches.fetch_add(1, Ordering::Relaxed);
+                return Ok(Arc::clone(hot));
+            }
             // Snapshot the stream so the (long) decode holds no lock: a
             // cold miss must not stall writers — or, through the
             // writer-favoring std-backed lock, other readers — of this
-            // shard. One clone per miss; misses also allocate the
-            // waveform itself, so this is not on the zero-alloc path.
-            (entry.z.clone(), entry.gen)
+            // shard.
+            (Arc::clone(&entry.z), entry.gen)
         };
         let mut scratch = self.checkout();
         let (mut i, mut q) = (Vec::new(), Vec::new());
@@ -685,40 +670,64 @@ impl Store {
         if self.hot_capacity == 0 {
             return Ok(decoded);
         }
-        // Park the decode: reserve a global hot-budget slot *before*
-        // taking the home shard's write lock (eviction may lock any one
-        // shard, and no two shard locks are ever held together).
-        self.reserve_hot_slot(home);
-        let shard = slot.state.write();
-        // Another reader may have raced us here; keep the first entry
-        // so every caller converges on one shared decode. (The write
-        // lock pins the current snapshot: nobody else can publish while
-        // we hold it.)
-        let current = slot.hot.load_full();
-        if let Some(entry) = current.entries.iter().find(|e| &e.id == id) {
-            entry.last_used.store(slot.tick(), Ordering::Relaxed);
-            let shared = Arc::clone(&entry.decoded);
-            drop(shard);
-            self.hot_count.fetch_sub(1, Ordering::Relaxed); // release unused reservation
-            return Ok(shared);
+        Ok(self.park(slot, id, gen, decoded))
+    }
+
+    /// Parks a miss's decode, unless the gate was recalibrated or
+    /// removed since `gen` was read (the stale decode is then returned
+    /// uncached) or a racing miss parked first (its copy is returned,
+    /// so every caller converges on one shared decode).
+    fn park(&self, slot: &ShardSlot, id: &GateId, gen: u64, wf: Arc<Waveform>) -> Arc<Waveform> {
+        let mut sieve = self.sieve.lock();
+        // Every insert, remove and hot-slot change holds the sieve lock,
+        // so what this read lock sees still holds when we park below.
+        let raced = match slot.state.read().map.get(id) {
+            Some(e) if e.gen == gen => e.hot.clone(),
+            _ => return wf,
+        };
+        if let Some(shared) = raced {
+            return shared; // `wf` drops after the sieve lock is released
         }
-        // The gate may have been recalibrated (or removed) while we
-        // were decoding; parking the old decode would then serve stale
-        // samples until the next invalidation. The generation stamp
-        // pins the exact stream we decoded.
-        if shard.map.get(id).is_some_and(|e| e.gen == gen) {
-            let mut entries = current.entries.clone();
-            entries.push(Arc::new(HotEntry {
-                id: id.clone(),
-                decoded: Arc::clone(&decoded),
-                last_used: AtomicU64::new(slot.tick()),
-            }));
-            slot.hot.store(Arc::new(HotSet { entries })); // consumes the reservation
-        } else {
+        let evicted =
+            if sieve.queue.len() == self.hot_capacity { self.evict(&mut sieve) } else { None };
+        let mut shard = slot.state.write();
+        let entry = shard.map.get_mut(id).expect("the sieve lock pins the checked entry");
+        entry.hot = Some(Arc::clone(&wf));
+        *entry.visited.get_mut() = false;
+        drop(shard);
+        sieve.queue.push(id.clone());
+        drop(sieve);
+        drop(evicted);
+        wf
+    }
+
+    /// Evicts one gate by SIEVE and returns its decode, for the caller
+    /// to drop once its locks are released. The hand sweeps the queue
+    /// oldest to newest, wrapping, under one shard write lock at a
+    /// time: it clears visited bits and evicts the first unvisited
+    /// gate. One full pass clears every bit, so without racing hits the
+    /// hand stops within `queue.len()` clears; the cap keeps hits that
+    /// race the hand from spinning it forever.
+    fn evict(&self, sieve: &mut Sieve) -> Option<Arc<Waveform>> {
+        let mut clears_left = sieve.queue.len();
+        loop {
+            let home = self.shard_index(&sieve.queue[sieve.hand]);
+            let mut shard = self.shards[home].state.write();
+            let entry =
+                shard.map.get_mut(&sieve.queue[sieve.hand]).expect("every queued gate is stored");
+            let visited = entry.visited.get_mut();
+            if *visited && clears_left > 0 {
+                *visited = false;
+                clears_left -= 1;
+                sieve.hand = (sieve.hand + 1) % sieve.queue.len();
+                continue;
+            }
+            let evicted = entry.hot.take();
             drop(shard);
-            self.hot_count.fetch_sub(1, Ordering::Relaxed); // release: stale decode, not parked
+            sieve.remove(sieve.hand);
+            self.trace_event(TraceKind::HotEviction, home as u64, sieve.queue.len() as u64);
+            return evicted;
         }
-        Ok(decoded)
     }
 
     /// Runs `f` with a borrow of one gate's **compressed** stream,
@@ -749,100 +758,34 @@ impl Store {
     /// automatically.
     pub fn invalidate(&self, id: &GateId) -> bool {
         let slot = &self.shards[self.shard_index(id)];
-        let mut shard = slot.state.write();
-        self.drop_hot(slot, &mut shard, id)
+        let mut sieve = self.sieve.lock();
+        let hot = slot.state.write().map.get_mut(id).and_then(|e| e.hot.take());
+        if hot.is_some() {
+            self.unqueue_hot(&mut sieve, slot, id);
+        }
+        drop(sieve);
+        hot.is_some()
     }
 
     /// Removes a gate entirely (compressed stream and hot copy),
     /// returning the stream if it was present.
     pub fn remove(&self, id: &GateId) -> Option<CompressedWaveform> {
         let slot = &self.shards[self.shard_index(id)];
-        let mut shard = slot.state.write();
-        self.drop_hot(slot, &mut shard, id);
-        shard.map.remove(id).map(|e| e.z)
+        let mut sieve = self.sieve.lock();
+        let entry = slot.state.write().map.remove(id)?;
+        if entry.hot.is_some() {
+            self.unqueue_hot(&mut sieve, slot, id);
+        }
+        drop(sieve);
+        Some(Arc::unwrap_or_clone(entry.z))
     }
 
-    /// Drops the hot-set copy of `id` by publishing a rebuilt snapshot
-    /// without it, counting the invalidation and releasing the entry's
-    /// global hot-budget slot. The `_shard` write guard is the
-    /// publication witness (snapshots may only be stored under the
-    /// shard's write lock). The single removal-accounting site shared
-    /// by insert/invalidate/remove.
-    fn drop_hot(&self, slot: &ShardSlot, _shard: &mut Shard, id: &GateId) -> bool {
-        let current = slot.hot.load_full();
-        if let Some(pos) = current.entries.iter().position(|e| &e.id == id) {
-            let mut entries = current.entries.clone();
-            entries.swap_remove(pos);
-            slot.hot.store(Arc::new(HotSet { entries }));
-            self.hot_count.fetch_sub(1, Ordering::Relaxed);
-            slot.counters.invalidations.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Reserves one slot of the global hot budget, evicting if it is
-    /// exhausted. Must be called with **no shard lock held** (eviction
-    /// takes one shard write lock at a time, never two), and every
-    /// reservation must later be either consumed by a `hot.push` or
-    /// released with a `hot_count` decrement.
-    fn reserve_hot_slot(&self, home: usize) {
-        loop {
-            let used = self.hot_count.load(Ordering::Relaxed);
-            if used < self.hot_capacity {
-                if self
-                    .hot_count
-                    .compare_exchange(used, used + 1, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return;
-                }
-                continue; // lost a reservation race; retry
-            }
-            // Budget exhausted: make room. Evicting from the home shard
-            // first means a skewed working set behaves like one LRU over
-            // the full budget instead of thrashing a per-shard slice;
-            // other shards are scanned round-robin only when the home
-            // shard has nothing parked. (Per-shard recency clocks are
-            // not cross-comparable, so the cross-shard victim choice is
-            // positional; eviction is LRU *within* the victim shard.)
-            // Finding nothing is possible when every budget slot is an
-            // in-flight reservation about to park — loop until one
-            // parks (evictable) or is released (budget frees up).
-            self.evict_one(home);
-        }
-    }
-
-    /// Evicts the least recently used entry of the first shard, scanning
-    /// from `home`, that has anything parked. Returns `false` if every
-    /// hot set was empty.
-    fn evict_one(&self, home: usize) -> bool {
-        let n = self.shards.len();
-        for k in 0..n {
-            let slot = &self.shards[(home + k) % n];
-            // The write lock is the publication witness: it pins the
-            // current snapshot while the victim is chosen and the
-            // rebuilt set is stored.
-            let _shard = slot.state.write();
-            let current = slot.hot.load_full();
-            let coldest = current
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(pos, _)| pos);
-            if let Some(pos) = coldest {
-                let mut entries = current.entries.clone();
-                let remaining = entries.len() as u64 - 1;
-                entries.swap_remove(pos);
-                slot.hot.store(Arc::new(HotSet { entries }));
-                self.hot_count.fetch_sub(1, Ordering::Relaxed);
-                self.trace_event(TraceKind::HotEviction, ((home + k) % n) as u64, remaining);
-                return true;
-            }
-        }
-        false
+    /// Takes a gate whose hot copy was just dropped out of the sieve
+    /// queue and counts the invalidation — the single accounting site
+    /// shared by insert/invalidate/remove.
+    fn unqueue_hot(&self, sieve: &mut Sieve, slot: &ShardSlot, id: &GateId) {
+        sieve.unqueue(id);
+        slot.counters.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A snapshot of the fetch counters, summed over all shards.
@@ -910,9 +853,9 @@ impl Store {
     /// the [`StoreStats`] counters, occupancy gauges, the decode
     /// latency histograms, and (when [`StoreConfig::codec_metrics`] is
     /// on) the per-variant breakdown. Cold path — it takes shard read
-    /// locks for the gauges and allocates freely; never call it from a
-    /// fetch loop. Also available through the [`Collect`] trait for
-    /// [`compaqt_obs::Registry::register_collector`].
+    /// locks and the sieve lock for the gauges and allocates freely;
+    /// never call it from a fetch loop. Also available through the
+    /// [`Collect`] trait for [`compaqt_obs::Registry::register_collector`].
     pub fn collect_obs(&self, out: &mut Snapshot) {
         let s = self.stats();
         out.push_counter("store_fetches", s.fetches);
@@ -980,10 +923,10 @@ impl Store {
         }
     }
 
-    /// Decoded waveforms currently parked across all hot sets
-    /// (lock-free: sums the published snapshots).
+    /// Decoded waveforms currently parked across all shards. Takes the
+    /// sieve lock, so it waits for an in-flight park or eviction.
     pub fn hot_len(&self) -> usize {
-        self.shards.iter().map(|s| s.hot.load_full().entries.len()).sum()
+        self.sieve.lock().queue.len()
     }
 
     /// The number of shards (power of two).
@@ -1131,9 +1074,9 @@ mod tests {
     }
 
     #[test]
-    fn hot_set_is_bounded_and_evicts_lru() {
-        // One shard, two hot slots: the third distinct fetch evicts the
-        // least recently used.
+    fn hot_set_is_bounded_and_evicts_unvisited_first() {
+        // One shard, two hot slots: the third distinct fetch clears the
+        // hand's visited gate and evicts the first unvisited one.
         let lib = library();
         let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
         let store = Store::from_library_with(
@@ -1146,7 +1089,7 @@ mod tests {
         assert!(gates.len() >= 3);
         store.fetch_cached(&gates[0]).unwrap();
         store.fetch_cached(&gates[1]).unwrap();
-        store.fetch_cached(&gates[0]).unwrap(); // refresh gate 0
+        store.fetch_cached(&gates[0]).unwrap(); // visit gate 0
         store.fetch_cached(&gates[2]).unwrap(); // evicts gate 1
         assert_eq!(store.hot_len(), 2);
         let before = store.stats();
@@ -1155,6 +1098,21 @@ mod tests {
         let before = store.stats();
         store.fetch_cached(&gates[1]).unwrap();
         assert_eq!(store.stats().hot_misses, before.hot_misses + 1, "gate 1 was evicted");
+
+        // A gate hit *before* a one-hit gate arrived survives the hand's
+        // pass (an LRU would evict it as least recently used).
+        assert!(store.invalidate(&gates[0]) && store.invalidate(&gates[1]));
+        store.fetch_cached(&gates[0]).unwrap();
+        store.fetch_cached(&gates[0]).unwrap(); // visit gate 0
+        store.fetch_cached(&gates[1]).unwrap(); // one-hit gate
+        store.fetch_cached(&gates[2]).unwrap(); // clears gate 0, evicts gate 1
+        assert_eq!(store.hot_len(), 2);
+        let before = store.stats();
+        store.fetch_cached(&gates[0]).unwrap();
+        assert_eq!(store.stats().hot_hits, before.hot_hits + 1, "visited gate 0 survived");
+        let before = store.stats();
+        store.fetch_cached(&gates[1]).unwrap();
+        assert_eq!(store.stats().hot_misses, before.hot_misses + 1, "one-hit gate 1 was evicted");
     }
 
     #[test]

@@ -322,9 +322,9 @@ fn steady_state_library_codec_allocates_nothing() {
         gates.len()
     );
 
-    // ---- Lock-free hot hits in isolation: a `fetch_cached` hit is one
-    // atomic snapshot load, a scan, a recency stamp and an `Arc`
-    // refcount bump — no shard lock and, pinned here, no heap. (The
+    // ---- Hot hits in isolation: a `fetch_cached` hit is one map
+    // lookup under the shard's read lock, a visited-bit load and an
+    // `Arc` refcount bump — pinned here, no heap. (The
     // mixed loop above interleaves `fetch_into`; this loop is *pure*
     // hit traffic, the path the contention bench scales across cores.)
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -339,7 +339,7 @@ fn steady_state_library_codec_allocates_nothing() {
     assert_eq!(
         delta,
         0,
-        "pure lock-free hot-hit traffic across {} gates x 10 passes must not allocate, saw {delta}",
+        "pure hot-hit traffic across {} gates x 10 passes must not allocate, saw {delta}",
         gates.len()
     );
 

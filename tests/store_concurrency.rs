@@ -5,7 +5,9 @@
 //! (`fetch_cached`) — observe waveforms **bit-exact** with a
 //! single-threaded engine decode, even while writer threads recalibrate
 //! gates under them. Readers racing a writer must see either the old or
-//! the new calibration in full, never a torn or stale-cached mix.
+//! the new calibration in full, never a torn or stale-cached mix. A
+//! single-threaded differential test pins the hot set's eviction order
+//! to a reference SIEVE model.
 //!
 //! Tests live in a `store` module so CI's threaded-stress step can
 //! select exactly this suite plus the in-crate store unit tests with
@@ -16,7 +18,7 @@ mod store {
     use compaqt::core::engine::{DecodeScratch, DecompressionEngine};
     use compaqt::core::store::{Store, StoreConfig, StoreError};
     use compaqt::pulse::device::Device;
-    use compaqt::pulse::library::{GateId, PulseLibrary};
+    use compaqt::pulse::library::{GateId, GateKind, PulseLibrary};
     use compaqt::pulse::vendor::Vendor;
     use compaqt::pulse::waveform::Waveform;
     use proptest::prelude::*;
@@ -181,22 +183,38 @@ mod store {
         }
     }
 
-    /// The lock-free hot path's freshness contract, cross-thread: a
+    /// The hot path's freshness contract, cross-thread: a
     /// `fetch_cached` that *begins* after an `insert` returned must
     /// observe that insert's calibration (or a newer one) — never an
-    /// older decode left in the snapshot. Each round publishes a
+    /// older decode left in the hot set. Each round publishes a
     /// distinct calibration, so a stale hit is distinguishable from a
     /// legitimately-newer one: the observed round may only move
     /// forward from what the reader saw published before fetching.
     #[test]
     fn cached_fetch_begun_after_insert_observes_the_new_calibration() {
+        assert_fetch_after_insert_is_fresh(StoreConfig::default(), false);
+    }
+
+    /// The same contract on a one-slot hot set with a rival reader
+    /// fetching another gate in a loop: every park of either gate
+    /// evicts the other under the sieve lock, interleaved with the
+    /// writer's inserts.
+    #[test]
+    fn cached_fetch_begun_after_insert_observes_the_new_calibration_under_eviction() {
+        let config = StoreConfig { shards: 1, hot_capacity: 1, ..StoreConfig::default() };
+        assert_fetch_after_insert_is_fresh(config, true);
+    }
+
+    fn assert_fetch_after_insert_is_fresh(config: StoreConfig, rival: bool) {
         use std::sync::atomic::AtomicU64;
 
         const ROUNDS: u64 = 64;
         let lib = library();
         let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
-        let store = Store::from_library(&lib, &compressor).unwrap();
-        let gate = store.gates().remove(0);
+        let store = Store::from_library_with(&lib, &compressor, config).unwrap();
+        let mut gates = store.gates();
+        let gate = gates.remove(0);
+        let other = gates.remove(0);
         let base = lib.get(&gate).unwrap();
 
         // One distinct stream (and reference decode) per round.
@@ -249,6 +267,16 @@ mod store {
                     }
                 }
             });
+            if rival {
+                let other = &other;
+                scope.spawn(move || {
+                    let first = store.fetch_cached(other).unwrap();
+                    while published.load(Ordering::SeqCst) != ROUNDS {
+                        let seen = store.fetch_cached(other).unwrap();
+                        assert_eq!(first.i(), seen.i(), "{other}: rival gate changed");
+                    }
+                });
+            }
         });
         // The settled state is exactly the final calibration.
         assert_eq!(store.fetch_cached(&gate).unwrap().i(), refs[ROUNDS as usize].as_slice());
@@ -344,6 +372,153 @@ mod store {
                 let cached = store.fetch_cached(&gate).unwrap();
                 prop_assert_eq!(&ei[..], cached.i(), "{:?}: cached I channel", variant);
                 prop_assert_eq!(&eq[..], cached.q(), "{:?}: cached Q channel", variant);
+            }
+        }
+    }
+
+    /// Gates the reference-model test draws from.
+    const MODEL_GATES: usize = 12;
+
+    /// Textbook SIEVE over gate indices: `queue[0]` is the head (the
+    /// newest gate), each gate carries its visited bit, and the hand
+    /// names the next eviction candidate (`None`: start at the tail).
+    #[derive(Default)]
+    struct SieveModel {
+        queue: Vec<(usize, bool)>,
+        hand: Option<usize>,
+    }
+
+    impl SieveModel {
+        fn pos(&self, g: usize) -> Option<usize> {
+            self.queue.iter().position(|&(x, _)| x == g)
+        }
+
+        /// Unlinks `g`, moving a hand on it to its newer neighbour.
+        /// Returns whether `g` was queued.
+        fn unlink(&mut self, g: usize) -> bool {
+            let Some(p) = self.pos(g) else { return false };
+            if self.hand == Some(g) {
+                self.hand = p.checked_sub(1).map(|newer| self.queue[newer].0);
+            }
+            self.queue.remove(p);
+            true
+        }
+
+        /// Walks from the hand toward the head, wrapping to the tail,
+        /// clearing visited bits; evicts the first unvisited gate.
+        fn evict(&mut self) {
+            let tail = self.queue.len() - 1;
+            let mut p = self.hand.and_then(|g| self.pos(g)).unwrap_or(tail);
+            while self.queue[p].1 {
+                self.queue[p].1 = false;
+                p = p.checked_sub(1).unwrap_or(tail);
+            }
+            let victim = self.queue[p].0;
+            self.hand = Some(victim);
+            self.unlink(victim);
+        }
+
+        /// One cached fetch of a stored gate; returns whether it hit.
+        fn fetch(&mut self, g: usize, capacity: usize) -> bool {
+            if let Some(p) = self.pos(g) {
+                self.queue[p].1 = true;
+                return true;
+            }
+            if capacity > 0 {
+                if self.queue.len() == capacity {
+                    self.evict();
+                }
+                self.queue.insert(0, (g, false));
+            }
+            false
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Single-threaded differential test of the hot set against a
+        /// plain map plus the textbook SIEVE model: every op must agree
+        /// on hit or miss, occupancy and invalidation count, and every
+        /// returned waveform must be the latest inserted version.
+        #[test]
+        fn hot_set_matches_a_reference_sieve_model(
+            ops in proptest::collection::vec(0usize..8 * MODEL_GATES, 1..80)
+        ) {
+            // `op / MODEL_GATES` picks insert, invalidate, remove or (5
+            // in 8) a cached fetch of gate `op % MODEL_GATES`.
+            //
+            // One distinct calibration per gate to start with, then one
+            // per op (used when the op is an insert); each carries its
+            // reference decode.
+            let compressor = Compressor::new(Variant::Delta);
+            let engine = DecompressionEngine::for_variant(Variant::Delta).unwrap();
+            let versions: Vec<(CompressedWaveform, Vec<f64>)> = (0..MODEL_GATES)
+                .chain(ops.iter().map(|op| op % MODEL_GATES))
+                .enumerate()
+                .map(|(v, g)| {
+                    let amp = 0.9 * (v + 1) as f64 / (MODEL_GATES + ops.len()) as f64;
+                    let xs = (0..32).map(|t| amp * ((t + g) as f64 * 0.2).sin()).collect();
+                    let z = compressor.compress(&Waveform::from_real("model", xs, 4.54)).unwrap();
+                    let (wf, _) = engine.decompress(&z).unwrap();
+                    (z, wf.i().to_vec())
+                })
+                .collect();
+            let gate = |g: usize| GateId::single(GateKind::X, g as u16);
+            for shards in [1, 4] {
+                for capacity in 0..=5 {
+                    let config =
+                        StoreConfig { shards, hot_capacity: capacity, ..StoreConfig::default() };
+                    let store = Store::new(config);
+                    let mut model = SieveModel::default();
+                    let mut latest: HashMap<usize, &[f64]> = HashMap::new();
+                    let mut invalidations = 0u64;
+                    for (g, (z, i)) in versions.iter().enumerate().take(MODEL_GATES) {
+                        store.insert(gate(g), z.clone()).unwrap();
+                        latest.insert(g, i);
+                    }
+                    for (k, &op) in ops.iter().enumerate() {
+                        let g = op % MODEL_GATES;
+                        let at = format!("shards {shards}, capacity {capacity}, op {k} ({op})");
+                        match op / MODEL_GATES {
+                            0 => {
+                                let (z, i) = &versions[MODEL_GATES + k];
+                                store.insert(gate(g), z.clone()).unwrap();
+                                invalidations += u64::from(model.unlink(g));
+                                latest.insert(g, i);
+                            }
+                            1 => {
+                                let was_hot = model.unlink(g);
+                                invalidations += u64::from(was_hot);
+                                prop_assert_eq!(store.invalidate(&gate(g)), was_hot, "{}", at);
+                            }
+                            2 => {
+                                invalidations += u64::from(model.unlink(g));
+                                let stored = latest.remove(&g).is_some();
+                                prop_assert_eq!(store.remove(&gate(g)).is_some(), stored, "{}", at);
+                            }
+                            _ => {
+                                let hits = store.stats().hot_hits;
+                                let fetched = store.fetch_cached(&gate(g));
+                                match latest.get(&g) {
+                                    Some(expect) => {
+                                        let wf = fetched.unwrap();
+                                        prop_assert_eq!(wf.i(), *expect, "{}: stale", at);
+                                        let hit = model.fetch(g, capacity);
+                                        let hit_now = store.stats().hot_hits - hits;
+                                        prop_assert_eq!(hit_now, u64::from(hit), "{}", at);
+                                    }
+                                    None => prop_assert!(
+                                        matches!(fetched, Err(StoreError::UnknownGate(_))),
+                                        "{}", at
+                                    ),
+                                }
+                            }
+                        }
+                        prop_assert_eq!(store.hot_len(), model.queue.len(), "{}", at);
+                        prop_assert_eq!(store.stats().invalidations, invalidations, "{}", at);
+                    }
+                }
             }
         }
     }
